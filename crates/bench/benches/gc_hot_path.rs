@@ -196,11 +196,20 @@ fn bench_recycle_churn(h: &mut BenchHarness, label: &str, config: CgConfig) {
 }
 
 /// End-to-end replay throughput: events/sec driving the collector from a
-/// recorded workload stream (the trace-driven evaluation mode of PR 1).
-fn bench_trace_replay(h: &mut BenchHarness, trace: &cg_trace::Trace, policy: AllocPolicy) {
-    let heap_config = VmConfig::default().heap.with_alloc_policy(policy);
+/// recorded workload stream (the trace-driven evaluation mode).
+/// `db/1` barely exercises the allocator's search; `jack/1` is the
+/// allocation-heavy shape whose first-fit searches start among thousands of
+/// live statics.
+fn bench_trace_replay(
+    h: &mut BenchHarness,
+    name: &str,
+    trace: &cg_trace::Trace,
+    heap: HeapConfig,
+    policy: AllocPolicy,
+) {
+    let heap_config = heap.with_alloc_policy(policy);
     let events = trace.len() as f64;
-    let label = format!("replay/cg/{}/db_s1", policy.label());
+    let label = format!("replay/cg/{}/{name}", policy.label());
     let ns = h.bench(&label, 3, || {
         replay(trace, heap_config, ContaminatedGc::new())
             .expect("replay succeeds")
@@ -306,8 +315,21 @@ fn main() {
     bench_recycle_miss(&mut harness, "segregated", recycle_seg);
     bench_recycle_churn(&mut harness, "first_fit", recycle);
     bench_recycle_churn(&mut harness, "segregated", recycle_seg);
+    let jack = cg_bench::record_workload_trace(
+        Workload::by_name("jack").expect("known workload"),
+        Size::S1,
+        None,
+    )
+    .expect("recording succeeds");
     for policy in [AllocPolicy::FirstFitRover, AllocPolicy::SegregatedFit] {
-        bench_trace_replay(&mut harness, &trace, policy);
+        bench_trace_replay(
+            &mut harness,
+            "db_s1",
+            &trace,
+            VmConfig::default().heap,
+            policy,
+        );
+        bench_trace_replay(&mut harness, "jack_s1", &jack.trace, jack.heap, policy);
     }
 
     harness.write_json();

@@ -11,13 +11,20 @@
 //! adjacent free blocks when objects are freed.  It stays the default — the
 //! §4.8 recycling experiment contrasts the recycle list's cost against
 //! precisely this search, so [`ObjectSpace::search_steps`] must keep meaning
-//! "blocks examined by the linear search".
+//! "free blocks examined by the first-fit search".
+//!
+//! Free and allocated blocks live in two separate address-ordered maps, so
+//! the search visits free blocks only: it costs O(log n) to find the rover
+//! in the free map plus one step per free block examined, and never walks
+//! the allocated blocks (mostly long-lived statics) lying in between.  The
+//! blocks examined, and so the block chosen, are exactly those of a walk
+//! over every block that skips the allocated ones.
 //!
 //! [`AllocPolicy::SegregatedFit`] is the modern alternative: free blocks are
 //! indexed by power-of-two size class, so an allocation probes only bins
 //! that could possibly fit instead of walking the address-ordered list.  The
 //! bins hold *candidate* addresses and are validated lazily against the
-//! block map (a block may have been carved or coalesced since it was
+//! free map (a block may have been carved or coalesced since it was
 //! binned); stale entries are dropped on discovery, so every free block is
 //! reachable through exactly its current size class.
 
@@ -32,7 +39,8 @@ pub type BlockAddr = usize;
 pub enum AllocPolicy {
     /// The paper-faithful JDK 1.1.8 search: first fit starting at the rover
     /// (the point of the last allocation), wrapping around to the start of
-    /// the space.  O(free blocks) per allocation.
+    /// the space.  O(log n) plus one step per free block examined; allocated
+    /// blocks are never visited.
     #[default]
     FirstFitRover,
     /// Segregated free lists: free blocks indexed by power-of-two size
@@ -56,12 +64,6 @@ impl AllocPolicy {
 /// always large enough for `size`.
 fn class_of(size: usize) -> usize {
     (usize::BITS - size.leading_zeros()) as usize
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Block {
-    size: usize,
-    free: bool,
 }
 
 /// Statistics describing the current state of the object space.
@@ -102,24 +104,27 @@ pub struct SpaceStats {
 #[derive(Debug, Clone)]
 pub struct ObjectSpace {
     capacity: usize,
-    /// Every block (free or allocated), keyed by starting address.  Adjacent
-    /// free blocks are always coalesced, so two free blocks are never
-    /// neighbours.
-    blocks: BTreeMap<BlockAddr, Block>,
+    /// Allocated blocks: starting address → size.
+    allocated: BTreeMap<BlockAddr, usize>,
+    /// Free blocks: starting address → size.  Together with `allocated`
+    /// they tile the space; adjacent free blocks are always coalesced, so
+    /// two free blocks are never neighbours.
+    free: BTreeMap<BlockAddr, usize>,
     /// The rover: the address just past the most recent allocation, where the
     /// next first-fit search begins.
     rover: BlockAddr,
     used: usize,
-    /// Cumulative number of blocks examined by searches (linear blocks for
-    /// first fit, bin entries for segregated fit); the recycling experiment
-    /// (§4.8) contrasts this cost against the recycle list's.
+    /// Cumulative number of free blocks examined by searches (free-map
+    /// entries for first fit, bin entries for segregated fit); the
+    /// recycling experiment (§4.8) contrasts this cost against the recycle
+    /// list's.
     search_steps: u64,
     allocations: u64,
     frees: u64,
     policy: AllocPolicy,
     /// Candidate free-block addresses per size class (SegregatedFit only;
     /// empty under FirstFitRover).  Entries are validated lazily against
-    /// `blocks`: an entry is *stale* — and dropped on discovery — when its
+    /// `free`: an entry is *stale* — and dropped on discovery — when its
     /// address no longer starts a free block of that class.
     bins: Vec<Vec<BlockAddr>>,
 }
@@ -143,17 +148,10 @@ impl ObjectSpace {
     /// Panics if `capacity` is zero.
     pub fn with_policy(capacity: usize, policy: AllocPolicy) -> Self {
         assert!(capacity > 0, "object space capacity must be positive");
-        let mut blocks = BTreeMap::new();
-        blocks.insert(
-            0,
-            Block {
-                size: capacity,
-                free: true,
-            },
-        );
         let mut space = Self {
             capacity,
-            blocks,
+            allocated: BTreeMap::new(),
+            free: BTreeMap::from([(0, capacity)]),
             rover: 0,
             used: 0,
             search_steps: 0,
@@ -207,7 +205,7 @@ impl ObjectSpace {
         self.frees
     }
 
-    /// Cumulative number of blocks (or bin entries) examined during
+    /// Cumulative number of free blocks (or bin entries) examined during
     /// free-block searches.
     pub fn search_steps(&self) -> u64 {
         self.search_steps
@@ -252,65 +250,62 @@ impl ObjectSpace {
     /// and wild frees are programming errors in the VM, not recoverable
     /// conditions).
     pub fn free(&mut self, addr: BlockAddr) {
-        let block = self
-            .blocks
-            .get_mut(&addr)
-            .unwrap_or_else(|| panic!("free of unknown block address {addr}"));
-        assert!(!block.free, "double free of block at address {addr}");
-        block.free = true;
-        let size = block.size;
+        let Some(size) = self.allocated.remove(&addr) else {
+            assert!(
+                !self.free.contains_key(&addr),
+                "double free of block at address {addr}"
+            );
+            panic!("free of unknown block address {addr}");
+        };
         self.used -= size;
         self.frees += 1;
-        self.coalesce_around(addr);
+        self.coalesce_around(addr, size);
     }
 
     /// The size of the allocated block starting at `addr`, if there is one.
     pub fn block_size(&self, addr: BlockAddr) -> Option<usize> {
-        self.blocks.get(&addr).filter(|b| !b.free).map(|b| b.size)
+        self.allocated.get(&addr).copied()
     }
 
     /// Current space statistics.
     pub fn stats(&self) -> SpaceStats {
-        let mut largest = 0;
-        let mut free_blocks = 0;
-        let mut allocated_blocks = 0;
-        for block in self.blocks.values() {
-            if block.free {
-                free_blocks += 1;
-                largest = largest.max(block.size);
-            } else {
-                allocated_blocks += 1;
-            }
-        }
         SpaceStats {
             capacity: self.capacity,
             used: self.used,
             free: self.free_bytes(),
-            largest_free_block: largest,
-            free_blocks,
-            allocated_blocks,
+            largest_free_block: self.free.values().copied().max().unwrap_or(0),
+            free_blocks: self.free.len(),
+            allocated_blocks: self.allocated.len(),
         }
     }
 
-    /// Verifies internal invariants (contiguity, no adjacent free blocks,
-    /// accounting).  Used by tests and debug assertions.
+    /// Verifies internal invariants (the two maps tile the space, no
+    /// adjacent free blocks, accounting).  Used by tests and debug
+    /// assertions.
     pub fn check_invariants(&self) {
+        let mut blocks: Vec<(BlockAddr, usize, bool)> = self
+            .allocated
+            .iter()
+            .map(|(&addr, &size)| (addr, size, false))
+            .chain(self.free.iter().map(|(&addr, &size)| (addr, size, true)))
+            .collect();
+        blocks.sort_unstable();
         let mut cursor = 0usize;
         let mut used = 0usize;
         let mut prev_free = false;
-        for (&addr, block) in &self.blocks {
+        for (addr, size, free) in blocks {
             assert_eq!(addr, cursor, "blocks must tile the space contiguously");
-            assert!(block.size > 0, "zero-sized block at {addr}");
-            if block.free {
+            assert!(size > 0, "zero-sized block at {addr}");
+            if free {
                 assert!(
                     !prev_free,
                     "adjacent free blocks were not coalesced at {addr}"
                 );
             } else {
-                used += block.size;
+                used += size;
             }
-            prev_free = block.free;
-            cursor += block.size;
+            prev_free = free;
+            cursor += size;
         }
         assert_eq!(cursor, self.capacity, "blocks must cover the whole space");
         assert_eq!(used, self.used, "used-byte accounting drifted");
@@ -318,9 +313,9 @@ impl ObjectSpace {
             // Every free block must be reachable through its current size
             // class — lazy deletion may leave stale entries behind, but a
             // live entry must exist or the block is lost to the allocator.
-            for (&addr, block) in self.blocks.iter().filter(|(_, b)| b.free) {
+            for (&addr, &size) in &self.free {
                 assert!(
-                    self.bins[class_of(block.size)].contains(&addr),
+                    self.bins[class_of(size)].contains(&addr),
                     "free block at {addr} missing from its size-class bin"
                 );
             }
@@ -328,16 +323,15 @@ impl ObjectSpace {
     }
 
     /// Finds the first free block at or after `start` that can hold `size`
-    /// bytes.
+    /// bytes, counting every free block examined.
     fn find_first_fit(&mut self, start: BlockAddr, size: usize) -> Option<BlockAddr> {
         let mut steps = 0u64;
         let found = self
-            .blocks
+            .free
             .range(start..)
-            .filter(|(_, block)| block.free)
-            .find(|(_, block)| {
+            .find(|(_, &block)| {
                 steps += 1;
-                block.size >= size
+                block >= size
             })
             .map(|(&addr, _)| addr);
         self.search_steps += steps;
@@ -356,11 +350,11 @@ impl ObjectSpace {
             while i < self.bins[class].len() {
                 steps += 1;
                 let addr = self.bins[class][i];
-                match self.blocks.get(&addr) {
+                match self.free.get(&addr) {
                     // Live entry: the address still starts a free block of
                     // this class.
-                    Some(block) if block.free && class_of(block.size) == class => {
-                        if block.size >= size {
+                    Some(&block) if class_of(block) == class => {
+                        if block >= size {
                             self.bins[class].swap_remove(i);
                             found = Some(addr);
                             break 'classes;
@@ -383,51 +377,39 @@ impl ObjectSpace {
     /// Marks `size` bytes at the start of the free block at `addr` as
     /// allocated, splitting off the remainder as a new free block.
     fn carve(&mut self, addr: BlockAddr, size: usize) {
-        let block = self.blocks[&addr];
-        debug_assert!(block.free && block.size >= size);
-        let remainder = block.size - size;
-        self.blocks.insert(addr, Block { size, free: false });
+        let block = self
+            .free
+            .remove(&addr)
+            .expect("carve target is a free block");
+        debug_assert!(block >= size);
+        self.allocated.insert(addr, size);
+        let remainder = block - size;
         if remainder > 0 {
-            self.blocks.insert(
-                addr + size,
-                Block {
-                    size: remainder,
-                    free: true,
-                },
-            );
+            self.free.insert(addr + size, remainder);
             self.bin_insert(addr + size, remainder);
         }
     }
 
-    /// Coalesces the free block at `addr` with free neighbours on both sides.
-    fn coalesce_around(&mut self, addr: BlockAddr) {
+    /// Returns the just-freed block `[addr, addr + size)` to the free map,
+    /// coalesced with free neighbours on both sides.
+    fn coalesce_around(&mut self, addr: BlockAddr, mut size: usize) {
         let mut start = addr;
-        let mut size = self.blocks[&addr].size;
 
         // Merge with the following block if it is free.
-        let next_addr = addr + size;
-        if let Some(next) = self.blocks.get(&next_addr) {
-            if next.free {
-                size += next.size;
-                self.blocks.remove(&next_addr);
-            }
+        if let Some(next) = self.free.remove(&(addr + size)) {
+            size += next;
         }
 
         // Merge with the preceding block if it is free.
-        if let Some((&prev_addr, prev)) = self.blocks.range(..addr).next_back() {
-            if prev.free && prev_addr + prev.size == addr {
+        if let Some((&prev_addr, &prev)) = self.free.range(..addr).next_back() {
+            if prev_addr + prev == addr {
                 start = prev_addr;
-                size += prev.size;
-                self.blocks.remove(&addr);
+                size += prev;
             }
         }
 
-        self.blocks.insert(start, Block { size, free: true });
+        self.free.insert(start, size);
         self.bin_insert(start, size);
-        // Keep the rover pointing at a valid address.
-        if self.rover >= self.capacity {
-            self.rover = 0;
-        }
     }
 }
 
@@ -661,6 +643,98 @@ mod tests {
         segregated.check_invariants();
     }
 
+    /// The first-fit search as it was before free blocks got a map of
+    /// their own: one address-ordered map of *every* block, and a search
+    /// that walks all of them from the rover, skipping allocated ones.
+    /// Kept only as the reference [`ObjectSpace`]'s first fit is checked
+    /// against.
+    struct LinearModel {
+        /// Every block: starting address → (size, free).
+        blocks: BTreeMap<BlockAddr, (usize, bool)>,
+        capacity: usize,
+        rover: BlockAddr,
+        search_steps: u64,
+        /// Allocations that found nothing from the rover and wrapped.
+        wraps: u64,
+        /// Allocations that failed even after wrapping.
+        exhausted: u64,
+        /// Frees that merged with at least one free neighbour.
+        merges: u64,
+    }
+
+    impl LinearModel {
+        fn new(capacity: usize) -> Self {
+            Self {
+                blocks: BTreeMap::from([(0, (capacity, true))]),
+                capacity,
+                rover: 0,
+                search_steps: 0,
+                wraps: 0,
+                exhausted: 0,
+                merges: 0,
+            }
+        }
+
+        fn find_first_fit(&mut self, start: BlockAddr, size: usize) -> Option<BlockAddr> {
+            let mut steps = 0u64;
+            let found = self
+                .blocks
+                .range(start..)
+                .filter(|(_, &(_, free))| free)
+                .find(|(_, &(block, _))| {
+                    steps += 1;
+                    block >= size
+                })
+                .map(|(&addr, _)| addr);
+            self.search_steps += steps;
+            found
+        }
+
+        fn alloc(&mut self, size: usize) -> Option<BlockAddr> {
+            let found = match self.find_first_fit(self.rover, size) {
+                Some(addr) => addr,
+                None => {
+                    self.wraps += 1;
+                    let Some(addr) = self.find_first_fit(0, size) else {
+                        self.exhausted += 1;
+                        return None;
+                    };
+                    addr
+                }
+            };
+            let (block, _) = self.blocks[&found];
+            self.blocks.insert(found, (size, false));
+            if block > size {
+                self.blocks.insert(found + size, (block - size, true));
+            }
+            self.rover = found + size;
+            if self.rover >= self.capacity {
+                self.rover = 0;
+            }
+            Some(found)
+        }
+
+        fn free(&mut self, addr: BlockAddr) {
+            let (mut size, free) = self.blocks[&addr];
+            assert!(!free, "model double free at {addr}");
+            let mut start = addr;
+            let mut merged = false;
+            if let Some(&(next, true)) = self.blocks.get(&(addr + size)) {
+                self.blocks.remove(&(addr + size));
+                size += next;
+                merged = true;
+            }
+            if let Some((&prev_addr, &(prev, true))) = self.blocks.range(..addr).next_back() {
+                self.blocks.remove(&addr);
+                start = prev_addr;
+                size += prev;
+                merged = true;
+            }
+            self.blocks.insert(start, (size, true));
+            self.merges += u64::from(merged);
+        }
+    }
+
     mod properties {
         use super::*;
         use cg_testutil::TestRng;
@@ -783,6 +857,49 @@ mod tests {
                 assert_eq!(st.free_blocks, 1, "seed {seed}");
                 assert_eq!(st.largest_free_block, 2048, "seed {seed}");
             }
+        }
+
+        /// The free-map search is an exact replacement for the all-blocks
+        /// walk: over random alloc/free sequences it picks the same address
+        /// (or fails together) and charges the same `search_steps` on every
+        /// call.  The sequences are sized so wrap-arounds, exhaustion and
+        /// coalescing all happen.
+        #[test]
+        fn first_fit_matches_linear_walk() {
+            let (mut wraps, mut exhausted, mut merges) = (0, 0, 0);
+            for seed in 0..128u64 {
+                let mut rng = TestRng::new(seed);
+                let capacity = rng.gen_range(256, 4097);
+                let mut space = ObjectSpace::new(capacity);
+                let mut model = LinearModel::new(capacity);
+                let mut live: Vec<BlockAddr> = Vec::new();
+                for step in 0..rng.gen_range(50, 600) {
+                    if live.is_empty() || rng.gen_bool(0.55) {
+                        let size = rng.gen_range(1, 97);
+                        let before = (space.search_steps(), model.search_steps);
+                        let got = space.alloc(size);
+                        assert_eq!(got, model.alloc(size), "seed {seed} step {step}");
+                        assert_eq!(
+                            space.search_steps() - before.0,
+                            model.search_steps - before.1,
+                            "seed {seed} step {step}: search_steps delta"
+                        );
+                        live.extend(got);
+                    } else {
+                        let addr = live.swap_remove(rng.gen_range(0, live.len()));
+                        space.free(addr);
+                        model.free(addr);
+                    }
+                    space.check_invariants();
+                }
+                assert_eq!(space.search_steps(), model.search_steps, "seed {seed}");
+                wraps += model.wraps;
+                exhausted += model.exhausted;
+                merges += model.merges;
+            }
+            assert!(wraps > 0, "no allocation wrapped around");
+            assert!(exhausted > 0, "no allocation exhausted the space");
+            assert!(merges > 0, "no free coalesced");
         }
     }
 }

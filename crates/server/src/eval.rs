@@ -21,7 +21,10 @@
 //!
 //! The result cache lives under the same directory tree as the benchmark
 //! harness's disk trace cache and uses the same atomic-publish discipline
-//! (collision-proof tmp sibling + rename, expired tmps swept on startup).
+//! (collision-proof tmp sibling + rename, expired tmps swept on startup),
+//! but without an `fsync` on the session's path: each entry instead ends
+//! in an FNV-1a 64 integrity trailer, so an entry torn by a crash is a
+//! cache miss, never a wrong answer.
 //! Entries are keyed by content — `(length, CRC32, FNV-1a 64)` of the full
 //! uploaded byte stream — so a repeated upload of the same workload trace
 //! is answered without replaying a single event, and a trace that differs
@@ -511,10 +514,33 @@ fn eval_sharded(
     result
 }
 
+/// Prefix of the integrity trailer line that closes every memoized result
+/// file: `fnv64 <16 hex digits>`, the FNV-1a 64 of the text before it.
+const RESULT_TRAILER: &str = "fnv64 ";
+
+/// FNV-1a 64 of `bytes`.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Loads a memoized result; `None` on absence or any damage (a damaged
-/// entry just costs a re-replay, exactly like the trace cache).
+/// entry just costs a re-replay, exactly like the trace cache).  The
+/// integrity trailer must be present and match the text it follows, so a
+/// torn or tampered entry is a miss, never a wrong answer.
 fn load_result(path: &Path) -> Option<SessionResult> {
-    let text = std::fs::read_to_string(path).ok()?;
+    let mut text = std::fs::read_to_string(path).ok()?;
+    let body_len = text.strip_suffix('\n')?.rfind('\n')? + 1;
+    let digest = text[body_len..]
+        .strip_prefix(RESULT_TRAILER)?
+        .strip_suffix('\n')?;
+    if digest.len() != 16
+        || u64::from_str_radix(digest, 16).ok()? != fnv64(&text.as_bytes()[..body_len])
+    {
+        return None;
+    }
+    text.truncate(body_len);
     let events = text
         .lines()
         .next()?
@@ -532,14 +558,16 @@ fn load_result(path: &Path) -> Option<SessionResult> {
     })
 }
 
-/// Publishes a result atomically (tmp sibling + rename).  Best-effort: a
-/// failure here only loses the memoization, never the response.
+/// Publishes a result atomically (tmp sibling + rename), followed by its
+/// integrity trailer.  There is no `fsync`: the session's verdict does not
+/// wait on the disk, and an entry torn by a crash fails its trailer check
+/// and is replayed again.  Best-effort: a failure here only loses the
+/// memoization, never the response.
 fn store_result(path: &Path, text: &str) {
     let tmp = unique_tmp_path(path);
     let publish = || -> io::Result<()> {
         let mut f = File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
+        writeln!(f, "{text}{RESULT_TRAILER}{:016x}", fnv64(text.as_bytes()))?;
         std::fs::rename(&tmp, path)
     };
     if publish().is_err() {
@@ -608,6 +636,40 @@ mod tests {
             .expect("uploads dir")
             .count();
         assert_eq!(leftovers, 0, "spools are always reclaimed");
+        let _ = std::fs::remove_dir_all(&config.cache_dir);
+    }
+
+    #[test]
+    fn memoized_entry_round_trips_byte_identically() {
+        let config = test_config("trailer-ok");
+        let path = config.result_path(1, 2, 3);
+        let text = "events 3\ncg.x 12345\ncg.y 0\n";
+        store_result(&path, text);
+        let hit = load_result(&path).expect("a good entry is a hit");
+        assert_eq!(hit.text, text);
+        assert_eq!(hit.events, 3);
+        let _ = std::fs::remove_dir_all(&config.cache_dir);
+    }
+
+    #[test]
+    fn torn_or_tampered_entry_is_a_miss() {
+        let config = test_config("trailer-bad");
+        let path = config.result_path(1, 2, 3);
+        store_result(&path, "events 3\ncg.x 12345\n");
+        let stored = std::fs::read_to_string(&path).expect("stored");
+
+        // Torn mid-write: `cg.x 12345` cut to `cg.x 12`.
+        let cut = stored.find("345").expect("digits");
+        std::fs::write(&path, &stored[..cut]).expect("truncate");
+        assert!(load_result(&path).is_none(), "truncated entry served");
+
+        // Tampered value under an intact trailer.
+        std::fs::write(&path, stored.replace("12345", "12346")).expect("tamper");
+        assert!(load_result(&path).is_none(), "tampered entry served");
+
+        // No trailer at all (the text alone parses as a valid answer).
+        std::fs::write(&path, "events 3\ncg.x 12345\n").expect("bare");
+        assert!(load_result(&path).is_none(), "entry without trailer served");
         let _ = std::fs::remove_dir_all(&config.cache_dir);
     }
 
